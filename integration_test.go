@@ -18,7 +18,6 @@ import (
 	"github.com/datacomp/datacomp/internal/dict"
 	"github.com/datacomp/datacomp/internal/fleet"
 	"github.com/datacomp/datacomp/internal/kvstore"
-	"github.com/datacomp/datacomp/internal/managed"
 	"github.com/datacomp/datacomp/internal/warehouse"
 	"github.com/datacomp/datacomp/internal/zstd"
 )
@@ -67,7 +66,7 @@ func TestWarehousePipelineEndToEnd(t *testing.T) {
 }
 
 // TestDictionaryWorkflowAcrossPackages trains one dictionary and uses it
-// consistently through zstd directly, the cache, and the managed service.
+// consistently through zstd directly and the cache.
 func TestDictionaryWorkflowAcrossPackages(t *testing.T) {
 	typ := corpus.DefaultItemTypes()[2]
 	training := corpus.CacheItems(1, typ, 1200)
@@ -108,38 +107,6 @@ func TestDictionaryWorkflowAcrossPackages(t *testing.T) {
 	got, ok, err := c.Get("k")
 	if err != nil || !ok || !bytes.Equal(got, item) {
 		t.Fatalf("cache roundtrip: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestManagedServiceOverCacheTraffic drives the managed-compression service
-// with realistic typed cache traffic and verifies it converges to a better
-// ratio than dictionary-less compression.
-func TestManagedServiceOverCacheTraffic(t *testing.T) {
-	svc := managed.New(managed.Config{SampleEvery: 1, TrainAfter: 150})
-	types := corpus.DefaultItemTypes()
-	rng := rand.New(rand.NewSource(5))
-	payloads := map[string][][]byte{}
-	for round := 0; round < 400; round++ {
-		typ := types[rng.Intn(2)] // two small-item use cases
-		p := typ.Item(rng)
-		frame, err := svc.Compress(typ.Name, nil, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := svc.Decompress(typ.Name, nil, frame)
-		if err != nil || !bytes.Equal(back, p) {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		payloads[typ.Name] = append(payloads[typ.Name], p)
-	}
-	for _, name := range svc.UseCases() {
-		st := svc.Stats(name)
-		if st.Generations == 0 {
-			t.Errorf("use case %s never trained", name)
-		}
-		if st.Ratio() <= 1 {
-			t.Errorf("use case %s ratio %.2f", name, st.Ratio())
-		}
 	}
 }
 

@@ -108,7 +108,9 @@ type Config struct {
 	// re-materialized on demand from the frame descriptor (default 4).
 	RetainGenerations int
 	// TrainDict adds a dict-trained zstd candidate refreshed from the
-	// reservoir (internal/dict), the online analogue of internal/managed.
+	// reservoir (internal/dict): the paper's Managed Compression, where
+	// sampled traffic trains per-class dictionaries whose IDs ride in
+	// every frame.
 	TrainDict bool
 	// DictBytes is the trained dictionary size target (default 4 KiB).
 	DictBytes int

@@ -1,3 +1,26 @@
+// Package bits provides the low-level bit-oriented I/O used by the entropy
+// coders in this repository.
+//
+// All streams are little-endian and LSB-first: the first bit written is the
+// least-significant bit of the first byte. Two readers are provided:
+//
+//   - Reader64 consumes bits in the order they were written (used by the
+//     DEFLATE-style codec, which reverses each Huffman code at write time,
+//     and by the Huffman literal streams).
+//   - ReverseReader64 consumes bits in the opposite order of writing (used
+//     by the FSE stages of the Zstd-style codec, which encode symbols
+//     back-to-front the way tANS requires).
+//
+// A stream destined for a ReverseReader64 must be terminated with
+// Writer64.FlushMarker, which appends a single 1-bit so the reader can
+// locate the exact end of the payload inside the final byte.
+//
+// The types follow the zstd BIT_DStream design: a reader keeps an 8-byte
+// window of the stream in a register, a peek/consume split lets
+// table-driven decoders look up symbols without per-bit branches, and a
+// single Refill call per loop iteration reloads the window with one
+// bounds-checked 8-byte load (scalar tail at the stream edges). Between two
+// Refill calls a caller may consume at most 56 bits.
 package bits
 
 import (
@@ -6,20 +29,12 @@ import (
 	"math/bits"
 )
 
-// This file holds the branch-reduced 64-bit bit-I/O used by the multi-stream
-// entropy decoders. The byte-stream format is identical to Writer/Reader/
-// ReverseReader (LSB-first, little-endian, marker-terminated for reverse
-// streams); only the access pattern differs. The structs here follow the
-// zstd BIT_DStream design: the reader keeps an 8-byte window of the stream
-// in a register, a peek/consume split lets table-driven decoders look up
-// symbols without per-bit branches, and a single Refill call per loop
-// iteration reloads the window with one bounds-checked 8-byte load
-// (scalar tail at the stream edges). Between two Refill calls a caller may
-// consume at most 56 bits.
+// ErrOverrun is returned when a read requires more bits than the stream holds.
+var ErrOverrun = errors.New("bits: read past end of stream")
 
-// Writer64 accumulates bits LSB-first like Writer, but buffers up to 64
-// bits in a register and dumps whole words with a single 8-byte store, so
-// the encode inner loop carries no per-byte branches. The zero value is
+// Writer64 accumulates bits LSB-first, buffering up to 64 bits in a
+// register and dumping whole words with a single 8-byte store, so the
+// encode inner loop carries no per-byte branches. The zero value is
 // ready to use; ResetBuf lets the caller supply the output slice so
 // streams can be emitted directly into a frame under construction.
 type Writer64 struct {
@@ -105,8 +120,9 @@ func (w *Writer64) FlushMarker() []byte {
 //	}
 //	if r.Overrun() { corrupt }
 //
-// Peeking past the end of the stream yields zero bits (like Reader.Peek);
-// Overrun reports whether consumption went past the end.
+// Peeking past the end of the stream yields zero bits, so table-based
+// decoders can peek past the end and rely on code-length bookkeeping to
+// detect corruption; Overrun reports whether consumption went past the end.
 type Reader64 struct {
 	data     []byte
 	ptr      int    // start of the 8-byte window loaded in acc
@@ -218,8 +234,8 @@ func (r *ReverseReader64) Init(data []byte) error {
 
 // ReadBits reads the next n bits (n ≤ 56 since the last Refill) in
 // reverse write order, with no per-read branches. Reading past the start
-// of the stream yields zero bits on the low side, exactly like
-// ReverseReader; check Overrun once when decoding completes.
+// of the stream yields zero bits on the low side; check Overrun once when
+// decoding completes.
 func (r *ReverseReader64) ReadBits(n uint) uint64 {
 	v := (r.acc << r.consumed) >> (64 - n)
 	r.consumed += n

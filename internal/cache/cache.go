@@ -57,7 +57,8 @@ func tm() {
 type Config struct {
 	// Shards is the number of independent shards (concurrency domains).
 	Shards int
-	// CapacityBytes bounds resident compressed bytes per cache; LRU
+	// CapacityBytes bounds the resident compressed bytes of each shard,
+	// so the whole cache holds up to Shards × CapacityBytes; per-shard LRU
 	// eviction enforces it. 0 means unbounded.
 	CapacityBytes int64
 	// Codec and Level select the compressor (default zstd level 3 — caches
@@ -271,7 +272,8 @@ func (s *shard) storeLocked(key, typ string, payload []byte, rawSize int, raw bo
 	tmResident.Add(int64(len(payload)))
 }
 
-// evictLocked enforces CapacityBytes with LRU eviction. Caller holds s.mu.
+// evictLocked enforces CapacityBytes on this shard with LRU eviction.
+// Caller holds s.mu.
 func (s *shard) evictLocked() {
 	if s.cfg.CapacityBytes <= 0 {
 		return

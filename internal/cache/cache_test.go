@@ -137,6 +137,34 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCapacityIsPerShard pins what CapacityBytes bounds: each shard's
+// resident bytes, not the cache's total.
+func TestCapacityIsPerShard(t *testing.T) {
+	const shards, capacity = 4, 4096
+	c, err := New(Config{Shards: shards, CapacityBytes: capacity, MinCompressSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Values stored raw: 200 x 512 B, far past every shard's capacity.
+	for i := 0; i < 200; i++ {
+		if err := c.Set(fmt.Sprintf("k%d", i), "t", bytes.Repeat([]byte{byte(i)}, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, s := range c.shards {
+		if s.bytes > capacity {
+			t.Errorf("shard %d holds %d bytes, over its %d-byte capacity", i, s.bytes, capacity)
+		}
+	}
+	st := c.Stats()
+	if st.Evicts == 0 {
+		t.Fatal("no evictions under pressure")
+	}
+	if st.ResidentCompressedBytes <= capacity || st.ResidentCompressedBytes > shards*capacity {
+		t.Fatalf("cache holds %d bytes, want within (%d, %d]", st.ResidentCompressedBytes, capacity, shards*capacity)
+	}
+}
+
 func TestDictionaryImprovesResidentRatio(t *testing.T) {
 	typ := corpus.DefaultItemTypes()[2] // edge_assoc: small items
 	train := corpus.CacheItems(1, typ, 2000)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func compressible(seed int64, n int) []byte {
@@ -112,46 +111,6 @@ func TestSplitBlocks(t *testing.T) {
 	}
 }
 
-func TestCompressDecompressBlocks(t *testing.T) {
-	data := compressible(7, 100000)
-	for _, name := range Names() {
-		c, _ := Lookup(name)
-		_, _, def := c.Levels()
-		eng, err := c.New(Options{Level: def})
-		if err != nil {
-			t.Fatal(err)
-		}
-		framed, err := CompressBlocks(eng, data, 4096)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		back, err := DecompressBlocks(eng, framed)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(back, data) {
-			t.Fatalf("%s: block roundtrip mismatch", name)
-		}
-	}
-}
-
-func TestDecompressBlocksCorrupt(t *testing.T) {
-	eng, err := NewEngine("lz4", WithLevel(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed, err := CompressBlocks(eng, compressible(9, 5000), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecompressBlocks(eng, framed[:len(framed)/2]); err == nil {
-		t.Error("truncated frame decoded")
-	}
-	if _, err := DecompressBlocks(eng, nil); err == nil {
-		t.Error("empty frame decoded")
-	}
-}
-
 func TestMeasure(t *testing.T) {
 	eng, err := NewEngine("zstd", WithLevel(1))
 	if err != nil {
@@ -207,30 +166,6 @@ func TestStagedEngine(t *testing.T) {
 	st := staged.Stages()
 	if st.MatchFind <= 0 {
 		t.Fatalf("no match-find time recorded: %+v", st)
-	}
-}
-
-func TestQuickBlockRoundtrip(t *testing.T) {
-	f := func(seed int64, size uint16, bsSel uint8, codecSel uint8) bool {
-		names := Names()
-		name := names[int(codecSel)%len(names)]
-		c, _ := Lookup(name)
-		_, _, def := c.Levels()
-		eng, err := c.New(Options{Level: def})
-		if err != nil {
-			return false
-		}
-		data := compressible(seed, int(size)%20000)
-		bs := []int{0, 64, 1024, 4096}[int(bsSel)%4]
-		framed, err := CompressBlocks(eng, data, bs)
-		if err != nil {
-			return false
-		}
-		back, err := DecompressBlocks(eng, framed)
-		return err == nil && bytes.Equal(back, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -162,27 +162,16 @@ func (c *encState) init(t *EncTable, sym byte) {
 	c.value = uint32(t.stateTable[int32(value>>nbBitsOut)+tt.deltaFindState])
 }
 
-func (c *encState) encode(w *bits.Writer, sym byte) {
-	tt := c.t.symbolTT[sym]
-	nbBitsOut := (c.value + tt.deltaNbBits) >> 16
-	w.WriteBits(uint64(c.value), uint(nbBitsOut))
-	c.value = uint32(c.t.stateTable[int32(c.value>>nbBitsOut)+tt.deltaFindState])
-}
-
-func (c *encState) flush(w *bits.Writer) {
-	w.WriteBits(uint64(c.value), c.t.tableLog)
-}
-
-// encode64 is encode writing through the branch-reduced 64-bit writer.
-// The caller batches a bounded group of encodes between Carry calls.
-func (c *encState) encode64(w *bits.Writer64, sym byte) {
+// encode emits sym's transition bits without carrying: the caller batches
+// a bounded group of encodes between Carry calls.
+func (c *encState) encode(w *bits.Writer64, sym byte) {
 	tt := c.t.symbolTT[sym]
 	nbBitsOut := (c.value + tt.deltaNbBits) >> 16
 	w.Add(uint64(c.value), uint(nbBitsOut))
 	c.value = uint32(c.t.stateTable[int32(c.value>>nbBitsOut)+tt.deltaFindState])
 }
 
-func (c *encState) flush64(w *bits.Writer64) {
+func (c *encState) flush(w *bits.Writer64) {
 	w.WriteBits(uint64(c.value), c.t.tableLog)
 }
 
@@ -249,9 +238,9 @@ func BuildDecTable(norm []uint16, tableLog uint) (*DecTable, error) {
 }
 
 // EncodeWith encodes syms with a prepared table, appending the raw tANS bit
-// stream (no table header) to the writer. Symbols are processed
-// back-to-front per tANS; the decoder recovers them in forward order.
-func EncodeWith(w *bits.Writer, t *EncTable, syms []byte) error {
+// stream (no table header) through w. Symbols are processed back-to-front
+// per tANS; the decoder recovers them in forward order.
+func EncodeWith(w *bits.Writer64, t *EncTable, syms []byte) error {
 	if len(syms) == 0 {
 		return errors.New("fse: empty input")
 	}
@@ -262,37 +251,21 @@ func EncodeWith(w *bits.Writer, t *EncTable, syms []byte) error {
 	}
 	var c encState
 	c.init(t, syms[len(syms)-1])
-	for i := len(syms) - 2; i >= 0; i-- {
-		c.encode(w, syms[i])
+	i := len(syms) - 1
+	// Four symbols per carry: ≤ 4×tableLog ≤ 48 bits accumulated.
+	for ; i >= 4; i -= 4 {
+		c.encode(w, syms[i-1])
+		c.encode(w, syms[i-2])
+		c.encode(w, syms[i-3])
+		c.encode(w, syms[i-4])
+		w.Carry()
+	}
+	for ; i >= 1; i-- {
+		c.encode(w, syms[i-1])
+		w.Carry()
 	}
 	c.flush(w)
 	return nil
-}
-
-// DecodeWith decodes n symbols from the reverse reader using a prepared
-// table, appending to dst.
-func DecodeWith(dst []byte, d *DecTable, r *bits.ReverseReader, n int) ([]byte, error) {
-	if n == 0 {
-		return dst, nil
-	}
-	// Hot loop: operate on locals rather than decState fields.
-	table := d.table
-	state := uint32(r.ReadBits(d.tableLog))
-	if int(state) >= len(table) {
-		return nil, ErrCorrupt
-	}
-	// The final symbol is carried entirely by the flushed state: no
-	// transition bits follow it, so it is read without a state update.
-	for i := 0; i < n-1; i++ {
-		e := table[state]
-		state = uint32(e.newStateBase) + uint32(r.ReadBits(uint(e.nbBits)))
-		dst = append(dst, e.symbol)
-	}
-	dst = append(dst, table[state].symbol)
-	if r.Overrun() {
-		return nil, ErrCorrupt
-	}
-	return dst, nil
 }
 
 // EncodeWith2 encodes syms (len ≥ 2) with two interleaved tANS states —
@@ -318,7 +291,7 @@ func EncodeWith2(w *bits.Writer64, t *EncTable, syms []byte) error {
 		c1.init(t, syms[i-1])
 		c2.init(t, syms[i-2])
 		i -= 2
-		c1.encode64(w, syms[i-1])
+		c1.encode(w, syms[i-1])
 		i--
 		w.Carry()
 	} else {
@@ -328,13 +301,13 @@ func EncodeWith2(w *bits.Writer64, t *EncTable, syms []byte) error {
 	}
 	for i > 0 {
 		// One pair per carry: ≤ 2×tableLog ≤ 24 bits accumulated.
-		c2.encode64(w, syms[i-1])
-		c1.encode64(w, syms[i-2])
+		c2.encode(w, syms[i-1])
+		c1.encode(w, syms[i-2])
 		w.Carry()
 		i -= 2
 	}
-	c2.flush64(w)
-	c1.flush64(w)
+	c2.flush(w)
+	c1.flush(w)
 	return nil
 }
 
@@ -399,10 +372,10 @@ func DecodeWith2(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byt
 	return dst, nil
 }
 
-// decodeWith64 is the single-state decode loop over the branch-reduced
-// reverse reader, used by Scratch.Decompress (the serial dependent-load
-// chain remains, but each step loses its per-bit refill branches).
-func decodeWith64(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byte, error) {
+// decodeWith decodes n symbols produced by EncodeWith, appending to dst.
+// The serial dependent-load chain remains, but the reader is refilled once
+// per group of up to four symbols instead of branching per read.
+func decodeWith(dst []byte, d *DecTable, r *bits.ReverseReader64, n int) ([]byte, error) {
 	if n == 0 {
 		return dst, nil
 	}
@@ -461,13 +434,12 @@ func grow(b []byte, n int) []byte {
 	return nb
 }
 
-// writeNormHeader serializes tableLog and the normalized counts through w
-// (reset here). The counts are bit-packed with a shrinking width: each count
-// is written in Len(remaining) bits where remaining is the number of
+// writeNormHeader serializes tableLog and the normalized counts through w,
+// appending to dst. The counts are bit-packed with a shrinking width: each
+// count is written in Len(remaining) bits where remaining is the number of
 // unassigned slots, and the stream ends when remaining hits zero.
-func writeNormHeader(dst []byte, w *bits.Writer, norm []uint16, tableLog uint) []byte {
-	dst = append(dst, byte(tableLog))
-	w.Reset()
+func writeNormHeader(dst []byte, w *bits.Writer64, norm []uint16, tableLog uint) []byte {
+	w.ResetBuf(append(dst, byte(tableLog)))
 	remaining := 1 << tableLog
 	for _, n := range norm {
 		width := uint(mathbits.Len32(uint32(remaining)))
@@ -477,7 +449,7 @@ func writeNormHeader(dst []byte, w *bits.Writer, norm []uint16, tableLog uint) [
 			break
 		}
 	}
-	return append(dst, w.Flush()...)
+	return w.Flush()
 }
 
 // readNormHeaderInto parses a header, appending the counts to norm[:0] and
@@ -491,16 +463,14 @@ func readNormHeaderInto(scratch []uint16, src []byte) (norm []uint16, tableLog u
 		return nil, 0, 0, ErrCorrupt
 	}
 	norm = scratch[:0]
-	var r bits.Reader
-	r.Reset(src[1:])
+	var r bits.Reader64
+	r.Init(src[1:])
 	remaining := 1 << tableLog
 	for remaining > 0 {
 		width := uint(mathbits.Len32(uint32(remaining)))
-		v, err := r.ReadBits(width)
-		if err != nil {
-			return nil, 0, 0, ErrCorrupt
-		}
-		if int(v) > remaining {
+		r.Refill()
+		v := r.ReadBits(width)
+		if r.Overrun() || int(v) > remaining {
 			return nil, 0, 0, ErrCorrupt
 		}
 		norm = append(norm, uint16(v))
@@ -509,8 +479,7 @@ func readNormHeaderInto(scratch []uint16, src []byte) (norm []uint16, tableLog u
 			return nil, 0, 0, ErrCorrupt
 		}
 	}
-	bitsUsed := (len(src[1:])*8 - r.BitsRemaining())
-	return norm, tableLog, 1 + (bitsUsed+7)/8, nil
+	return norm, tableLog, 1 + (r.BitsConsumed()+7)/8, nil
 }
 
 // Scratch owns the coding tables, normalized-count buffer and bit-stream
@@ -521,9 +490,8 @@ type Scratch struct {
 	enc  EncTable
 	dec  DecTable
 	norm []uint16
-	w    bits.Writer
-	w64  bits.Writer64
-	rr64 bits.ReverseReader64
+	w    bits.Writer64
+	rr   bits.ReverseReader64
 }
 
 // Compress is the scratch-reusing form of the package-level Compress.
@@ -545,12 +513,11 @@ func (s *Scratch) Compress(dst, syms []byte, maxTableLog uint) ([]byte, error) {
 		return nil, err
 	}
 	start := len(dst)
-	dst = writeNormHeader(dst, &s.w, norm, tableLog)
-	s.w.Reset()
+	s.w.ResetBuf(writeNormHeader(dst, &s.w, norm, tableLog))
 	if err := EncodeWith(&s.w, &s.enc, syms); err != nil {
 		return nil, err
 	}
-	dst = append(dst, s.w.FlushMarker()...)
+	dst = s.w.FlushMarker()
 	if len(dst)-start >= len(syms) {
 		// Return dst at its original length, not nil: the caller keeps the
 		// capacity the attempt grew, so a workload of incompressible small
@@ -570,10 +537,10 @@ func (s *Scratch) Decompress(dst, src []byte, n int) ([]byte, error) {
 	if err := s.dec.Init(norm, tableLog); err != nil {
 		return nil, err
 	}
-	if err := s.rr64.Init(src[consumed:]); err != nil {
+	if err := s.rr.Init(src[consumed:]); err != nil {
 		return nil, ErrCorrupt
 	}
-	return decodeWith64(dst, &s.dec, &s.rr64, n)
+	return decodeWith(dst, &s.dec, &s.rr, n)
 }
 
 // Compress2 entropy-codes syms with two interleaved tANS states into a
@@ -598,12 +565,11 @@ func (s *Scratch) Compress2(dst, syms []byte, maxTableLog uint) ([]byte, error) 
 		return nil, err
 	}
 	start := len(dst)
-	dst = writeNormHeader(dst, &s.w, norm, tableLog)
-	s.w64.ResetBuf(dst)
-	if err := EncodeWith2(&s.w64, &s.enc, syms); err != nil {
+	s.w.ResetBuf(writeNormHeader(dst, &s.w, norm, tableLog))
+	if err := EncodeWith2(&s.w, &s.enc, syms); err != nil {
 		return nil, err
 	}
-	dst = s.w64.FlushMarker()
+	dst = s.w.FlushMarker()
 	if len(dst)-start >= len(syms) {
 		// As in Compress: hand the grown capacity back to the caller.
 		return dst[:start], ErrIncompressible
@@ -622,10 +588,10 @@ func (s *Scratch) Decompress2(dst, src []byte, n int) ([]byte, error) {
 	if err := s.dec.Init(norm, tableLog); err != nil {
 		return nil, err
 	}
-	if err := s.rr64.Init(src[consumed:]); err != nil {
+	if err := s.rr.Init(src[consumed:]); err != nil {
 		return nil, ErrCorrupt
 	}
-	return DecodeWith2(dst, &s.dec, &s.rr64, n)
+	return DecodeWith2(dst, &s.dec, &s.rr, n)
 }
 
 // Compress entropy-codes syms into a self-describing payload appended to

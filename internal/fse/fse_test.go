@@ -98,15 +98,15 @@ func TestSharedTableEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := skewed(2, 777, 16)
-	w := bits.NewWriter(1024)
-	if err := EncodeWith(w, enc, msg); err != nil {
+	var w bits.Writer64
+	if err := EncodeWith(&w, enc, msg); err != nil {
 		t.Fatal(err)
 	}
-	r, err := bits.NewReverseReader(w.FlushMarker())
-	if err != nil {
+	var r bits.ReverseReader64
+	if err := r.Init(w.FlushMarker()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeWith(nil, dec, r, len(msg))
+	back, err := decodeWith(nil, dec, &r, len(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func TestEncodeWithUnknownSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := bits.NewWriter(64)
-	if err := EncodeWith(w, enc, []byte{200}); err == nil {
+	var w bits.Writer64
+	if err := EncodeWith(&w, enc, []byte{200}); err == nil {
 		t.Fatal("want error for out-of-table symbol")
 	}
 }
@@ -178,7 +178,7 @@ func TestNormHeaderRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w bits.Writer
+		var w bits.Writer64
 		hdr := writeNormHeader(nil, &w, norm, log)
 		got, gotLog, consumed, err := readNormHeaderInto(nil, hdr)
 		if err != nil {

@@ -245,23 +245,6 @@ type Table struct {
 	maxSym   int
 }
 
-// BuildTable constructs a Table from symbol frequencies (length ≤ 256).
-func BuildTable(freqs []uint32) (*Table, error) {
-	lengths, err := BuildLengths(freqs, MaxCodeLen)
-	if err != nil {
-		return nil, err
-	}
-	return tableFromLengths(lengths)
-}
-
-func tableFromLengths(lengths []uint8) (*Table, error) {
-	t := &Table{}
-	if err := t.init(lengths); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // init (re)builds the table in place, reusing the decode slab. The decode
 // table is sized to the longest assigned code, not the MaxCodeLen ceiling:
 // shorter alphabets get a smaller, cache-friendlier table and a cheaper
@@ -311,9 +294,6 @@ func (t *Table) init(lengths []uint8) error {
 	return nil
 }
 
-// Lengths returns the code length for each symbol (0 = unused).
-func (t *Table) Lengths() []uint8 { return t.lengths[:] }
-
 // EstimateSize returns the exact payload size in bits of encoding data whose
 // histogram is freqs with this table (excluding the table header).
 func (t *Table) EstimateSize(freqs []uint32) int {
@@ -355,8 +335,7 @@ func (t *Table) writeHeader(dst []byte) []byte {
 type Scratch struct {
 	build   BuildScratch
 	table   Table
-	w       bits.Writer
-	w64     bits.Writer64
+	w       bits.Writer64
 	freqs   [256]uint32
 	lengths [256]uint8
 }
@@ -436,12 +415,9 @@ func (s *Scratch) Compress(dst, src []byte) ([]byte, error) {
 	if estimate >= len(src) {
 		return nil, ErrIncompressible
 	}
-	dst = t.writeHeader(dst)
-	s.w.Reset()
-	for _, b := range src {
-		s.w.WriteBits(uint64(t.codes[b]), uint(t.lengths[b]))
-	}
-	return append(dst, s.w.Flush()...), nil
+	s.w.ResetBuf(t.writeHeader(dst))
+	encodeStream(&s.w, t, src)
+	return s.w.Flush(), nil
 }
 
 // Decompress is the scratch-reusing form of the package-level Decompress.
@@ -564,7 +540,7 @@ func (s *Scratch) Compress4(dst, src []byte) ([]byte, error) {
 	jump := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0)
 	q := (len(src) + 3) / 4
-	w := &s.w64
+	w := &s.w
 	for k := 0; k < 4; k++ {
 		lo := k * q
 		hi := lo + q
@@ -721,23 +697,6 @@ func finishStream(out []byte, k int, r *bits.Reader64, dec []uint16, tlog uint) 
 func Compress(dst, src []byte) ([]byte, error) {
 	var s Scratch
 	return s.Compress(dst, src)
-}
-
-// CompressWithTable encodes src with a pre-built table (for dictionary reuse),
-// still emitting the header so payloads stay self-describing. Symbols missing
-// from the table cause an error.
-func CompressWithTable(dst, src []byte, t *Table) ([]byte, error) {
-	for _, b := range src {
-		if t.lengths[b] == 0 {
-			return nil, fmt.Errorf("huffman: symbol %d not in table", b)
-		}
-	}
-	dst = t.writeHeader(dst)
-	w := bits.NewWriter(len(src))
-	for _, b := range src {
-		w.WriteBits(uint64(t.codes[b]), uint(t.lengths[b]))
-	}
-	return append(dst, w.Flush()...), nil
 }
 
 // Decompress decodes a payload produced by Compress into exactly n bytes,

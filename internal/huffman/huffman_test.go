@@ -181,33 +181,6 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 }
 
-func TestCompressWithTable(t *testing.T) {
-	sample := []byte("abcabcabcaabbbccc")
-	var freqs [256]uint32
-	for _, b := range sample {
-		freqs[b]++
-	}
-	tab, err := BuildTable(freqs[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := []byte("cbacbacba")
-	out, err := CompressWithTable(nil, src, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decompress(nil, out, len(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, src) {
-		t.Fatal("roundtrip mismatch")
-	}
-	if _, err := CompressWithTable(nil, []byte("xyz"), tab); err == nil {
-		t.Fatal("symbols outside the table must be rejected")
-	}
-}
-
 func TestQuickRoundtrip(t *testing.T) {
 	f := func(seed int64, size uint16, alphaSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -280,14 +280,6 @@ func (c *Client) callLocked(ctx context.Context, method string, req []byte, span
 	}
 }
 
-// CallLegacy sends a request without a context.
-//
-// Deprecated: use Call with a context; this wrapper exists for the v1 API
-// and uses context.Background().
-func (c *Client) CallLegacy(method string, req []byte) ([]byte, error) {
-	return c.Call(context.Background(), method, req)
-}
-
 // gate enforces the circuit breaker at call entry: open → fast fail;
 // cooldown elapsed → allow one half-open probe.
 func (c *Client) gate() error {

@@ -120,7 +120,7 @@ type Encoder struct {
 	// performs zero heap allocations per frame.
 	huff    huffman.Scratch
 	fseSc   fse.Scratch
-	extras  bits.Writer
+	extras  bits.Writer64
 	payload []byte
 	litEnc  []byte
 	seqEnc  [3][]byte

@@ -480,3 +480,39 @@ func TestLiteralRLEBlock(t *testing.T) {
 	src = append(src, bytes.Repeat([]byte{'z'}, 600)...)
 	roundtrip(t, Options{Level: 1}, src)
 }
+
+// TestDecoderChecksDictPerFrame pins that a reused Decoder, which hashes its
+// dictionary once at construction, still checks every frame's dictionary ID.
+func TestDecoderChecksDictPerFrame(t *testing.T) {
+	dictA := bytes.Repeat([]byte("alpha dictionary content "), 64)
+	dictB := bytes.Repeat([]byte("beta dictionary content! "), 64)
+	item := []byte("alpha dictionary content with a small payload appended")
+	frame := func(dict []byte) []byte {
+		enc, err := NewEncoder(Options{Level: 3, Dict: dict})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := enc.Compress(nil, item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fa, fb, plain := frame(dictA), frame(dictB), frame(nil)
+	dec := NewDecoder(dictA)
+	for i, tc := range []struct {
+		frame []byte
+		want  error
+	}{{fa, nil}, {fb, ErrDictMismatch}, {plain, ErrDictMismatch}, {fa, nil}} {
+		got, err := dec.Decompress(nil, tc.frame)
+		if err != tc.want {
+			t.Fatalf("frame %d: err = %v, want %v", i, err, tc.want)
+		}
+		if err == nil && !bytes.Equal(got, item) {
+			t.Fatalf("frame %d: content mismatch", i)
+		}
+	}
+	if _, err := NewDecoder(nil).Decompress(nil, fa); err != ErrDictMismatch {
+		t.Fatalf("dictionary frame through a dictionary-less decoder: %v", err)
+	}
+}
